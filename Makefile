@@ -51,8 +51,9 @@ bench:
 
 # The subset CI's bench-smoke job runs, plus the machine-readable records
 # (the kernels model figure, the network-wide coordination and dynamic
-# control-plane figures and the bounded-memory sketch figure) and the
-# engine worker-scaling curve.
+# control-plane figures and the bounded-memory sketch figure), the
+# engine worker-scaling curve, and the per-layer bin-boundary and
+# adaptive-refit solve benchmarks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
@@ -61,6 +62,8 @@ bench-smoke:
 	$(GO) run ./cmd/flowrank-bench -fig coord -json
 	$(GO) run ./cmd/flowrank-bench -fig dynamic -json
 	$(GO) run ./cmd/flowrank-bench -fig sketch -json
+	$(GO) test -run '^$$' -bench '^BenchmarkBinBoundary$$' -benchtime 1x ./internal/stream
+	$(GO) test -run '^$$' -bench '^BenchmarkRequiredRate$$' -benchtime 1x ./internal/core
 
 # End-to-end flowtop cross-check: sequential vs sharded output must be
 # byte-identical on both trace formats (native and pcap).

@@ -342,7 +342,8 @@ func NewCountMinTable(agg Aggregator, k int) *CountMinTable {
 type StreamConfig = stream.Config
 
 // StreamBin is the merged measurement of one non-empty bin: the full
-// original ranking, the exact sampled top list, and the paper's
+// original ranking with each flow's sampled count aligned to it
+// (SampledCounts), the exact sampled top list, and the paper's
 // swapped-pair metrics.
 type StreamBin = stream.BinResult
 

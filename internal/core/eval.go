@@ -60,7 +60,9 @@ func (e *modelEval) kernel(small, large float64) float64 {
 		if s1 < 1 {
 			s1 = 1
 		}
-		s2 := int(math.Round(large))
+		// Clamp before converting: past 2^63 the conversion yields
+		// MinInt64 on amd64, which would read as a 1-packet flow.
+		s2 := int(math.Round(math.Min(large, 1<<62)))
 		if s2 < 1 {
 			s2 = 1
 		}

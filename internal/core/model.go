@@ -311,21 +311,33 @@ func (m Model) RequiredRate(target float64, detection bool) (float64, error) {
 	if detection {
 		metric = m.DetectionMetric
 	}
+	return requiredRate(metric, target)
+}
+
+// requiredRate solves metric(p) = target for p in log space. Each bracket
+// end is evaluated once, and the values are handed to Brent: one metric
+// evaluation near p = 1e-6 costs seconds.
+func requiredRate(metric func(p float64) float64, target float64) (float64, error) {
 	const (
 		pLo = 1e-6
 		pHi = 1 - 1e-9
 	)
-	if metric(pLo) <= target {
+	lo, hi := math.Log(pLo), math.Log(pHi)
+	// math.Exp(lo) is a few ulps off pLo; the pre-check evaluates the
+	// solver's own bracket end so its value can be reused.
+	mLo := metric(math.Exp(lo))
+	if mLo <= target {
 		return pLo, nil
 	}
 	f := func(lp float64) float64 {
 		return math.Log(metric(math.Exp(lp))+1e-300) - math.Log(target)
 	}
-	lo, hi := math.Log(pLo), math.Log(pHi)
-	if f(hi) > 0 {
+	fhi := f(hi)
+	if fhi > 0 {
 		return 0, fmt.Errorf("core: metric still above target %g at p≈1", target)
 	}
-	lp, err := numeric.Brent(f, lo, hi, 1e-6)
+	flo := math.Log(mLo+1e-300) - math.Log(target)
+	lp, err := numeric.BrentFrom(f, lo, hi, flo, fhi, 1e-6)
 	if err != nil {
 		return 0, err
 	}

@@ -2,7 +2,7 @@ package flowtable
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
@@ -231,7 +231,7 @@ func (c *CountMin) AppendEntries(dst []Entry) []Entry {
 	base := len(dst)
 	dst = append(dst, c.entries...)
 	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
+	slices.SortFunc(tail, Compare)
 	return dst
 }
 
@@ -247,13 +247,11 @@ func (c *CountMin) AppendTop(dst []Entry, k int) []Entry {
 	return h.drainInto(dst)
 }
 
-// AppendCounts adds every tracked flow's estimated packet count to dst.
-func (c *CountMin) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
-	if dst == nil {
-		dst = make(map[flow.Key]int64, len(c.entries))
-	}
+// AppendCounts appends every tracked flow's estimated packet count to dst
+// in slot order and returns it.
+func (c *CountMin) AppendCounts(dst []int64) []int64 {
 	for i := range c.entries {
-		dst[c.entries[i].Key] = c.entries[i].Packets
+		dst = append(dst, c.entries[i].Packets)
 	}
 	return dst
 }

@@ -2,7 +2,7 @@ package flowtable
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"flowrank/internal/flow"
@@ -199,18 +199,21 @@ func (f *Flat) Lookup(key flow.Key) (Entry, bool) {
 
 // Counts returns the table's packet counts keyed by flow.
 func (f *Flat) Counts() map[flow.Key]int64 {
-	return f.AppendCounts(make(map[flow.Key]int64, f.n))
-}
-
-// AppendCounts adds every flow's packet count to dst (allocating it when
-// nil) and returns it — the pooled-map path of the streaming engine.
-func (f *Flat) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
-	if dst == nil {
-		dst = make(map[flow.Key]int64, f.n)
-	}
+	out := make(map[flow.Key]int64, f.n)
 	for i, t := range f.tags {
 		if t != 0 {
-			dst[f.entries[i].Key] = f.entries[i].Packets
+			out[f.entries[i].Key] = f.entries[i].Packets
+		}
+	}
+	return out
+}
+
+// AppendCounts appends every flow's packet count to dst in slot order and
+// returns it.
+func (f *Flat) AppendCounts(dst []int64) []int64 {
+	for i, t := range f.tags {
+		if t != 0 {
+			dst = append(dst, f.entries[i].Packets)
 		}
 	}
 	return dst
@@ -247,7 +250,7 @@ func (f *Flat) AppendEntries(dst []Entry) []Entry {
 		}
 	}
 	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
+	slices.SortFunc(tail, Compare)
 	return dst
 }
 

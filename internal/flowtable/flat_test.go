@@ -107,8 +107,9 @@ func TestFlatZeroKey(t *testing.T) {
 }
 
 // TestFlatShardedMergeInto is the engine's merge contract on flat
-// tables: hash-sharded flats merged with MergeEntriesInto/MergeTopInto
-// (into recycled non-empty buffers) reproduce the whole table exactly.
+// tables: hash-sharded flats merged with MergeAlignedInto/MergeTopInto
+// (into recycled non-empty buffers) reproduce the whole table exactly,
+// and the aligned counts travel with their entries.
 func TestFlatShardedMergeInto(t *testing.T) {
 	const workers = 4
 	whole := NewFlat(flow.FiveTuple{}, 0)
@@ -127,9 +128,13 @@ func TestFlatShardedMergeInto(t *testing.T) {
 		shards[e.Key.FastHash()%workers].AddCount(e.Key, e.Packets, e.Bytes)
 	}
 	lists := make([][]Entry, workers)
+	counts := make([][]int64, workers)
 	tops := make([][]Entry, workers)
 	for i, s := range shards {
 		lists[i] = s.AppendEntries(nil)
+		for _, e := range lists[i] {
+			counts[i] = append(counts[i], e.Bytes+e.Packets)
+		}
 		tops[i] = s.AppendTop(nil, 10)
 	}
 	// Recycled destination buffers start non-empty; the merge must
@@ -137,13 +142,16 @@ func TestFlatShardedMergeInto(t *testing.T) {
 	dst := make([]Entry, 0, whole.Len())
 	dst = append(dst, Entry{Packets: 999})[:0]
 	want := whole.Entries()
-	got := MergeEntriesInto(dst, lists...)
-	if len(got) != len(want) {
-		t.Fatalf("merged %d entries, want %d", len(got), len(want))
+	got, gotCounts := MergeAlignedInto(dst, []int64{-1}[:0], lists, counts)
+	if len(got) != len(want) || len(gotCounts) != len(want) {
+		t.Fatalf("merged %d entries and %d counts, want %d", len(got), len(gotCounts), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("entry %d: %+v, want %+v", i, got[i], want[i])
+		}
+		if gotCounts[i] != want[i].Bytes+want[i].Packets {
+			t.Fatalf("count %d: %d, not aligned with %+v", i, gotCounts[i], want[i])
 		}
 	}
 	wantTop := whole.Top(10)

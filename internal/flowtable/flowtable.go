@@ -9,9 +9,9 @@
 package flowtable
 
 import (
-	"bytes"
-	"container/heap"
-	"sort"
+	"cmp"
+	"encoding/binary"
+	"slices"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
@@ -29,27 +29,36 @@ type Entry struct {
 
 // Less orders entries by descending packet count with a deterministic
 // key-based tiebreak, the canonical ranking order of this module.
-func Less(a, b Entry) bool {
+func Less(a, b Entry) bool { return Compare(a, b) < 0 }
+
+// Compare is the three-way form of Less (negative when a ranks first), for
+// slices.SortFunc.
+func Compare(a, b Entry) int {
 	if a.Packets != b.Packets {
-		return a.Packets > b.Packets
+		return cmp.Compare(b.Packets, a.Packets)
 	}
-	return keyLess(a.Key, b.Key)
+	return keyCompare(a.Key, b.Key)
 }
 
-func keyLess(a, b flow.Key) bool {
-	if c := bytes.Compare(a.Src[:], b.Src[:]); c != 0 {
-		return c < 0
+func keyLess(a, b flow.Key) bool { return keyCompare(a, b) < 0 }
+
+// keyCompare orders keys lexicographically by (Src, Dst, SrcPort,
+// DstPort, Proto), addresses compared as bytes: a big-endian uint32
+// compares exactly like its four bytes do.
+func keyCompare(a, b flow.Key) int {
+	if c := cmp.Compare(binary.BigEndian.Uint32(a.Src[:]), binary.BigEndian.Uint32(b.Src[:])); c != 0 {
+		return c
 	}
-	if c := bytes.Compare(a.Dst[:], b.Dst[:]); c != 0 {
-		return c < 0
+	if c := cmp.Compare(binary.BigEndian.Uint32(a.Dst[:]), binary.BigEndian.Uint32(b.Dst[:])); c != 0 {
+		return c
 	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
+	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
+		return c
 	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
+	if c := cmp.Compare(a.DstPort, b.DstPort); c != 0 {
+		return c
 	}
-	return a.Proto < b.Proto
+	return cmp.Compare(a.Proto, b.Proto)
 }
 
 // Table is an exact flow accounting table. The zero value is not usable;
@@ -146,7 +155,7 @@ func (t *Table) Entries() []Entry {
 	for _, e := range t.entries {
 		out = append(out, *e)
 	}
-	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
+	slices.SortFunc(out, Compare)
 	return out
 }
 
@@ -161,7 +170,8 @@ func (t *Table) Top(k int) []Entry {
 // Entries are not coalesced by key: the intended callers merge shard
 // tables, whose key spaces are disjoint by construction.
 func MergeEntries(lists ...[]Entry) []Entry {
-	return mergeSortedInto(nil, -1, lists)
+	out, _ := mergeSortedInto(nil, nil, -1, lists, nil)
+	return out
 }
 
 // MergeTop merges canonically sorted per-shard top lists and returns the
@@ -172,64 +182,89 @@ func MergeTop(k int, lists ...[]Entry) []Entry {
 	if k <= 0 {
 		return nil
 	}
-	return mergeSortedInto(nil, k, lists)
+	out, _ := mergeSortedInto(nil, nil, k, lists, nil)
+	return out
 }
 
 // mergeSortedInto merges sorted lists into dst, stopping after limit
-// appended entries (limit < 0 means merge everything).
-func mergeSortedInto(dst []Entry, limit int, lists [][]Entry) []Entry {
+// appended entries (limit < 0 means merge everything). When counts is
+// non-nil, counts[i] is aligned with lists[i] and is merged in step into
+// dstCounts, so the returned slices stay aligned with each other.
+func mergeSortedInto(dst []Entry, dstCounts []int64, limit int, lists [][]Entry, counts [][]int64) ([]Entry, []int64) {
 	h := make(mergeHeap, 0, len(lists))
 	total := 0
-	for _, l := range lists {
+	for i, l := range lists {
 		if len(l) > 0 {
-			h = append(h, mergeCursor{list: l})
+			c := mergeCursor{list: l}
+			if counts != nil {
+				c.counts = counts[i]
+			}
+			h = append(h, c)
 			total += len(l)
 		}
 	}
 	if limit >= 0 && total > limit {
 		total = limit
 	}
-	if len(h) == 1 {
-		return append(dst, h[0].list[:total]...)
+	dst = slices.Grow(dst, total)
+	if counts != nil {
+		dstCounts = slices.Grow(dstCounts, total)
 	}
-	heap.Init(&h)
+	if len(h) == 1 {
+		if counts != nil {
+			dstCounts = append(dstCounts, h[0].counts[:total]...)
+		}
+		return append(dst, h[0].list[:total]...), dstCounts
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	out := dst
 	total += len(dst)
 	for len(h) > 0 && len(out) < total {
 		c := &h[0]
 		out = append(out, c.list[c.pos])
+		if counts != nil {
+			dstCounts = append(dstCounts, c.counts[c.pos])
+		}
 		c.pos++
 		if c.pos == len(c.list) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		h.down(0)
 	}
-	return out
+	return out, dstCounts
 }
 
-// mergeCursor walks one sorted list inside the k-way merge.
+// mergeCursor walks one sorted list, and its aligned counts if any, inside
+// the k-way merge.
 type mergeCursor struct {
-	list []Entry
-	pos  int
+	list   []Entry
+	counts []int64
+	pos    int
 }
 
-// mergeHeap keeps the cursor with the highest-ranked pending entry at the
-// root.
+// mergeHeap is a binary heap keeping the cursor with the highest-ranked
+// pending entry at the root.
 type mergeHeap []mergeCursor
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	return Less(h[i].list[h[i].pos], h[j].list[h[j].pos])
-}
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeCursor)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// down sifts the cursor at i down to its place.
+func (h mergeHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && Less(h[r].list[h[r].pos], h[m].list[h[m].pos]) {
+			m = r
+		}
+		if !Less(h[m].list[h[m].pos], h[i].list[h[i].pos]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // entryMinHeap keeps the currently-lowest-ranked entry at the root.

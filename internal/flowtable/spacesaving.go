@@ -1,7 +1,7 @@
 package flowtable
 
 import (
-	"sort"
+	"slices"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
@@ -198,7 +198,7 @@ func (s *SpaceSaving) AppendEntries(dst []Entry) []Entry {
 	base := len(dst)
 	dst = append(dst, s.entries...)
 	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
+	slices.SortFunc(tail, Compare)
 	return dst
 }
 
@@ -214,13 +214,11 @@ func (s *SpaceSaving) AppendTop(dst []Entry, k int) []Entry {
 	return h.drainInto(dst)
 }
 
-// AppendCounts adds every tracked flow's estimated packet count to dst.
-func (s *SpaceSaving) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
-	if dst == nil {
-		dst = make(map[flow.Key]int64, len(s.entries))
-	}
+// AppendCounts appends every tracked flow's estimated packet count to dst
+// in slot order and returns it.
+func (s *SpaceSaving) AppendCounts(dst []int64) []int64 {
 	for i := range s.entries {
-		dst[s.entries[i].Key] = s.entries[i].Packets
+		dst = append(dst, s.entries[i].Packets)
 	}
 	return dst
 }

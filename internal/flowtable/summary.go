@@ -3,7 +3,7 @@ package flowtable
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowrank/internal/flow"
 )
@@ -39,9 +39,13 @@ type Summary interface {
 	// AppendTop appends the k highest-ranked tracked flows to dst in
 	// ranking order and returns dst.
 	AppendTop(dst []Entry, k int) []Entry
-	// AppendCounts adds every tracked flow's packet count to dst
-	// (allocating it when nil) and returns it.
-	AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64
+	// Lookup returns the entry of a tracked flow, with the count
+	// AppendEntries reports for it; ok is false for an untracked key.
+	Lookup(key flow.Key) (e Entry, ok bool)
+	// AppendCounts appends every tracked flow's packet count to dst and
+	// returns it: the summary's count multiset, in an order that is
+	// deterministic for a given input but otherwise unspecified.
+	AppendCounts(dst []int64) []int64
 	// ErrorBound returns the summary's current worst-case per-flow packet
 	// overcount: 0 for exact tables, the largest evicted count for
 	// Space-Saving (deterministic), and the 2·packets/width Markov bound
@@ -177,7 +181,7 @@ func (t *Table) AppendEntries(dst []Entry) []Entry {
 		dst = append(dst, *e)
 	}
 	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
+	slices.SortFunc(tail, Compare)
 	return dst
 }
 
@@ -193,17 +197,15 @@ func (t *Table) AppendTop(dst []Entry, k int) []Entry {
 	return h.drainInto(dst)
 }
 
-// AppendCounts adds every flow's packet count to dst (allocating it when
-// nil) and returns it — the pooled-map path of the streaming engine,
-// which clears and reuses one map across bins instead of allocating a
-// fresh Counts map per bin.
-func (t *Table) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
-	if dst == nil {
-		dst = make(map[flow.Key]int64, len(t.entries))
+// AppendCounts appends every flow's packet count to dst in ascending
+// order (only the appended region is sorted: map order is random) and
+// returns it.
+func (t *Table) AppendCounts(dst []int64) []int64 {
+	base := len(dst)
+	for _, e := range t.entries {
+		dst = append(dst, e.Packets)
 	}
-	for k, e := range t.entries {
-		dst[k] = e.Packets
-	}
+	slices.Sort(dst[base:])
 	return dst
 }
 
@@ -244,10 +246,12 @@ func (h *entryMinHeap) drainInto(dst []Entry) []Entry {
 	return dst
 }
 
-// MergeEntriesInto is MergeEntries appending into dst — the pooled-slice
-// path of the streaming engine's bin barrier.
-func MergeEntriesInto(dst []Entry, lists ...[]Entry) []Entry {
-	return mergeSortedInto(dst, -1, lists)
+// MergeAlignedInto is MergeEntries with a count slice aligned with each
+// list (counts[i][j] belongs to lists[i][j]): it appends the merged
+// entries to dst and their counts, in step, to dstCounts — the bin
+// barrier's merge of the shards' rankings and aligned sampled counts.
+func MergeAlignedInto(dst []Entry, dstCounts []int64, lists [][]Entry, counts [][]int64) ([]Entry, []int64) {
+	return mergeSortedInto(dst, dstCounts, -1, lists, counts)
 }
 
 // MergeTopInto is MergeTop appending into dst.
@@ -255,5 +259,6 @@ func MergeTopInto(dst []Entry, k int, lists ...[]Entry) []Entry {
 	if k <= 0 {
 		return dst
 	}
-	return mergeSortedInto(dst, k, lists)
+	out, _ := mergeSortedInto(dst, nil, k, lists, nil)
+	return out
 }

@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,9 +55,23 @@ func TestSummaryConformance(t *testing.T) {
 			if len(entries) != sum.Len() || entries[0].Key != heavy {
 				t.Errorf("%s round %d: %d entries, first %+v", kind, round, len(entries), entries[0])
 			}
+			// AppendCounts is the multiset of the entries' counts, and
+			// Lookup reports each entry exactly as AppendEntries does.
 			counts := sum.AppendCounts(nil)
-			if len(counts) != sum.Len() || counts[heavy] < top[0].Packets {
-				t.Errorf("%s round %d: counts map disagrees with top list", kind, round)
+			want := make([]int64, len(entries))
+			for i, e := range entries {
+				want[i] = e.Packets
+				if got, ok := sum.Lookup(e.Key); !ok || got != e {
+					t.Errorf("%s round %d: Lookup(%v) = %+v, %v; want %+v", kind, round, e.Key, got, ok, e)
+				}
+			}
+			slices.Sort(counts)
+			slices.Sort(want)
+			if !slices.Equal(counts, want) {
+				t.Errorf("%s round %d: counts multiset disagrees with entries", kind, round)
+			}
+			if _, ok := sum.Lookup(pkt(251, 100, 0).Key); ok {
+				t.Errorf("%s round %d: Lookup of an unseen key succeeded", kind, round)
 			}
 			if bound := sum.ErrorBound(); spec.Exact() && bound != 0 {
 				t.Errorf("%s round %d: exact kind reports ErrorBound %d", kind, round, bound)

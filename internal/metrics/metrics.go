@@ -62,48 +62,18 @@ func (p PairCounts) DetectionFrac() float64 {
 // orig must hold every flow of the bin sorted by flowtable.Less (packet
 // count descending, deterministic tiebreak); the first t entries are the
 // original top list. sampled maps flow keys to sampled packet counts;
-// missing keys mean the flow was not sampled at all.
+// missing keys mean the flow was not sampled at all. It is
+// CountSwappedCounts over the counts looked up once per flow.
 func CountSwapped(orig []flowtable.Entry, sampled map[flow.Key]int64, t int) PairCounts {
-	n := len(orig)
-	if t > n {
-		t = n
+	aligned := make([]int64, len(orig))
+	for i := range orig {
+		aligned[i] = sampled[orig[i].Key]
 	}
-	var pc PairCounts
-	if t <= 0 || n < 2 {
-		return pc
-	}
-	nn := int64(n)
-	tt := int64(t)
-	pc.Pairs = (2*nn - tt - 1) * tt / 2
-	pc.BoundaryPairs = tt * (nn - tt)
-	for r := 0; r < t; r++ {
-		a := orig[r]
-		sa := sampled[a.Key]
-		for j := r + 1; j < n; j++ {
-			b := orig[j]
-			sb := sampled[b.Key]
-			var swapped bool
-			if a.Packets == b.Packets {
-				swapped = sa != sb || sa == 0
-			} else {
-				// a is the original larger flow (list is sorted).
-				swapped = sb >= sa
-			}
-			if !swapped {
-				continue
-			}
-			pc.Ranking++
-			if j >= t {
-				pc.Detection++
-			}
-		}
-	}
-	return pc
+	return CountSwappedCounts(orig, aligned, t)
 }
 
 // CountSwappedCounts is CountSwapped with the sampled counts supplied as a
-// slice aligned with orig (sampled[i] is the sampled size of orig[i]),
-// avoiding map construction on the simulator's hot path.
+// slice aligned with orig: sampled[i] is the sampled size of orig[i].
 func CountSwappedCounts(orig []flowtable.Entry, sampled []int64, t int) PairCounts {
 	n := len(orig)
 	if t > n {
@@ -127,6 +97,7 @@ func CountSwappedCounts(orig []flowtable.Entry, sampled []int64, t int) PairCoun
 			if a.Packets == b.Packets {
 				swapped = sa != sb || sa == 0
 			} else {
+				// a is the original larger flow (list is sorted).
 				swapped = sb >= sa
 			}
 			if !swapped {

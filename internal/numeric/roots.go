@@ -13,7 +13,14 @@ var ErrNoBracket = errors.New("numeric: endpoints do not bracket a root")
 // f(a) and f(b) must have opposite signs (or one of them must be zero).
 // tol is the absolute x tolerance at which iteration stops.
 func Brent(f Func1, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
+	return BrentFrom(f, a, b, f(a), f(b), tol)
+}
+
+// BrentFrom is Brent for a caller that has already evaluated fa = f(a)
+// and fb = f(b): f is never called at a or b again, which matters when
+// one evaluation is expensive. Given the same endpoint values it takes
+// exactly Brent's iterates.
+func BrentFrom(f Func1, a, b, fa, fb, tol float64) (float64, error) {
 	if fa == 0 {
 		return a, nil
 	}

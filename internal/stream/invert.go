@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"flowrank/internal/flow"
-	"flowrank/internal/invert"
-)
+import "flowrank/internal/invert"
 
 // InversionCheckpoints are the upper-tail probabilities at which every
 // InversionSummary reports the estimated size quantiles: the median, the
@@ -47,19 +44,25 @@ type InversionSummary struct {
 	Estimate *invert.Estimate
 }
 
-// summarizeInversion runs the estimator over the bin's sampled counts.
-// Map iteration order does not matter: estimators canonicalize their
+// summarizeInversion runs the estimator over the bin's sampled counts,
+// the concatenation of the shards' sampled-table count multisets. The
+// concatenation order does not matter: estimators canonicalize their
 // input, so the summary depends only on the multiset of counts.
-func summarizeInversion(est invert.Estimator, sampled map[flow.Key]int64, rate float64) *InversionSummary {
+func summarizeInversion(est invert.Estimator, sums []shardSummary, rate float64) *InversionSummary {
 	s := &InversionSummary{Method: est.Name()}
-	if len(sampled) == 0 {
+	n := 0
+	for i := range sums {
+		n += len(sums[i].sampCounts)
+	}
+	if n == 0 {
 		s.Err = "no sampled flows"
 		return s
 	}
-	counts := make([]float64, 0, len(sampled))
-	//flowrank:unordered estimators canonicalize the count multiset before use
-	for _, c := range sampled {
-		counts = append(counts, float64(c))
+	counts := make([]float64, 0, n)
+	for i := range sums {
+		for _, c := range sums[i].sampCounts {
+			counts = append(counts, float64(c))
+		}
 	}
 	e, err := est.Invert(counts, rate)
 	if err != nil {

@@ -10,10 +10,13 @@
 // shard owns its own original/sampled flowtable.Summary pair (the exact
 // open-addressing table by default, or a bounded Space-Saving/Count-Min
 // sketch via Config.Tables), so the hot path takes no locks and shares no
-// state. At each bin boundary a barrier flushes every shard; the per-shard
-// sorted entry lists and Top lists are k-way merged (exact, because the
-// shards partition the key space) into one BinResult carrying the paper's
-// §5/§7 swapped-pair metrics.
+// state. At each bin boundary a barrier flushes every shard: in parallel,
+// each shard sorts its original flows and joins them with its own sampled
+// table (a flow's sampled count is local to the shard owning its key).
+// The per-shard sorted entry lists, with their aligned sampled counts, and
+// the Top lists are then k-way merged (exact, because the shards partition
+// the key space) into one BinResult carrying the paper's §5/§7
+// swapped-pair metrics.
 //
 // With exact tables the engine is bit-identical to the sequential path for
 // any worker count: with Workers == 1 no goroutines are started and
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"flowrank/internal/flow"
@@ -74,7 +78,7 @@ type Config struct {
 	// deterministic only per fixed worker count.
 	Tables flowtable.Spec
 	// Recycle, when set, reuses the engine's per-bin buffers (BinResult's
-	// Orig/SampledTop slices and Sampled map) across bins: steady-state
+	// Orig, SampledCounts and SampledTop slices) across bins: steady-state
 	// bins allocate almost nothing, but every BinResult is valid only
 	// until the emit callback returns. Leave it unset when retaining
 	// results beyond emit.
@@ -98,13 +102,16 @@ type BinResult struct {
 	// packets are skipped, so consecutive results may have index gaps.
 	Bin        int64
 	Start, End float64
-	// Orig holds every flow of the bin in the canonical ranking order.
+	// Orig holds every flow of the bin in the canonical ranking order
+	// (flowtable.Less): the full ranking, not just its top.
 	Orig []flowtable.Entry
+	// SampledCounts is aligned with Orig: SampledCounts[i] is the sampled
+	// packet count of flow Orig[i], 0 when the sampled table does not
+	// track it. It is the input of the swapped-pair metrics.
+	SampledCounts []int64
 	// SampledTop is the exact global top-TopT of the sampled table.
 	SampledTop []flowtable.Entry
-	// Sampled maps every sampled flow to its sampled packet count.
-	Sampled map[flow.Key]int64
-	// SampledFlows is len(Sampled), the sampled table's flow count.
+	// SampledFlows is the sampled table's flow count.
 	SampledFlows int
 	// Pairs carries the §5 ranking and §7 detection swapped-pair counts of
 	// the bin.
@@ -139,9 +146,14 @@ type shardMsg struct {
 
 // shardSummary is one shard's contribution to a bin merge.
 type shardSummary struct {
-	orig                   []flowtable.Entry
-	sampTop                []flowtable.Entry
-	sampled                map[flow.Key]int64
+	orig []flowtable.Entry
+	// origSamp is aligned with orig: each flow's sampled count.
+	origSamp []int64
+	sampTop  []flowtable.Entry
+	// sampCounts is the sampled table's count multiset, collected only
+	// for the inversion stage.
+	sampCounts             []int64
+	sampFlows              int
 	origPackets, origBytes int64
 	sampPackets, sampBytes int64
 	countErr               int64
@@ -152,6 +164,7 @@ type shard struct {
 	orig, samp flowtable.Summary
 	topT       int
 	recycle    bool
+	counts     bool              // collect sampCounts for the inversion
 	stats      *obs.ShardStats   // nil when instrumentation is off
 	in         chan shardMsg     // nil when the engine runs inline
 	out        chan shardSummary // one summary per flush barrier
@@ -159,9 +172,10 @@ type shard struct {
 	// set. Safe: the barrier hands each bin's summary to the merge, and
 	// the next flush — the next time these buffers are touched — starts
 	// only after the previous bin's emit returned.
-	origBuf []flowtable.Entry
-	topBuf  []flowtable.Entry
-	sampBuf map[flow.Key]int64
+	origBuf    []flowtable.Entry
+	origSamp   []int64
+	topBuf     []flowtable.Entry
+	sampCounts []int64
 }
 
 // add routes one sampled-decision item into the shard tables.
@@ -175,31 +189,43 @@ func (s *shard) add(it item) {
 }
 
 // summarize snapshots and resets the shard's tables at a bin barrier. The
-// sort of the shard's entries happens here — in parallel across shards —
-// leaving only the k-way merge to the barrier.
+// sort of the shard's entries and their join with the sampled table
+// happen here — in parallel across shards — leaving only the k-way merge
+// to the barrier.
 func (s *shard) summarize() shardSummary {
 	var origDst, topDst []flowtable.Entry
-	var sampDst map[flow.Key]int64
+	var sampDst, countsDst []int64
 	if s.recycle {
 		origDst, topDst = s.origBuf[:0], s.topBuf[:0]
-		sampDst = s.sampBuf
-		clear(sampDst)
+		sampDst, countsDst = s.origSamp[:0], s.sampCounts[:0]
 	}
 	sum := shardSummary{
 		orig:        s.orig.AppendEntries(origDst),
 		sampTop:     s.samp.AppendTop(topDst, s.topT),
-		sampled:     s.samp.AppendCounts(sampDst),
+		sampFlows:   s.samp.Len(),
 		origPackets: s.orig.TotalPackets(),
 		origBytes:   s.orig.TotalBytes(),
 		sampPackets: s.samp.TotalPackets(),
 		sampBytes:   s.samp.TotalBytes(),
+	}
+	sum.origSamp = slices.Grow(sampDst, len(sum.orig))
+	for i := range sum.orig {
+		var c int64
+		if e, ok := s.samp.Lookup(sum.orig[i].Key); ok {
+			c = e.Packets
+		}
+		sum.origSamp = append(sum.origSamp, c)
+	}
+	if s.counts {
+		sum.sampCounts = s.samp.AppendCounts(countsDst)
 	}
 	sum.countErr = s.orig.ErrorBound()
 	if b := s.samp.ErrorBound(); b > sum.countErr {
 		sum.countErr = b
 	}
 	if s.recycle {
-		s.origBuf, s.topBuf, s.sampBuf = sum.orig, sum.sampTop, sum.sampled
+		s.origBuf, s.topBuf = sum.orig, sum.sampTop
+		s.origSamp, s.sampCounts = sum.origSamp, sum.sampCounts
 	}
 	s.orig.Reset()
 	s.samp.Reset()
@@ -262,8 +288,8 @@ type Engine struct {
 	// set (multi-shard path only; the single-shard path aliases the
 	// shard's own recycled buffers).
 	mergedOrig []flowtable.Entry
+	mergedSamp []int64
 	mergedTop  []flowtable.Entry
-	mergedSamp map[flow.Key]int64
 }
 
 // ErrClosed is returned (wrapped) by Feed on an engine that was Closed or
@@ -352,6 +378,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 			samp:    samp,
 			topT:    cfg.TopT,
 			recycle: cfg.Recycle,
+			counts:  cfg.Inverter != nil,
 		}
 		if cfg.Obs != nil {
 			e.shards[i].stats = &cfg.Obs.Shards[i]
@@ -532,7 +559,7 @@ func (e *Engine) flushBin() error {
 		tMerge = obs.Nanotime()
 	}
 	if e.cfg.Inverter != nil {
-		r.Inversion = summarizeInversion(e.cfg.Inverter, r.Sampled, e.cfg.Sampler.Rate())
+		r.Inversion = summarizeInversion(e.cfg.Inverter, sums, e.cfg.Sampler.Rate())
 	}
 	if st != nil {
 		tInvert = obs.Nanotime()
@@ -572,21 +599,17 @@ func (e *Engine) mergeBin(sums []shardSummary) BinResult {
 		Start: float64(e.bin) * e.cfg.BinSeconds,
 		End:   float64(e.bin+1) * e.cfg.BinSeconds,
 	}
-	origLists := make([][]flowtable.Entry, 0, len(sums))
-	topLists := make([][]flowtable.Entry, 0, len(sums))
+	origLists := make([][]flowtable.Entry, len(sums))
+	sampLists := make([][]int64, len(sums))
+	topLists := make([][]flowtable.Entry, len(sums))
 	for i := range sums {
 		s := &sums[i]
-		if len(s.orig) > 0 {
-			origLists = append(origLists, s.orig)
-		}
-		if len(s.sampTop) > 0 {
-			topLists = append(topLists, s.sampTop)
-		}
+		origLists[i], sampLists[i], topLists[i] = s.orig, s.origSamp, s.sampTop
 		r.OrigPackets += s.origPackets
 		r.OrigBytes += s.origBytes
 		r.SampledPackets += s.sampPackets
 		r.SampledBytes += s.sampBytes
-		r.SampledFlows += len(s.sampled)
+		r.SampledFlows += s.sampFlows
 		if s.countErr > r.CountErr {
 			r.CountErr = s.countErr
 		}
@@ -597,31 +620,21 @@ func (e *Engine) mergeBin(sums []shardSummary) BinResult {
 		// Recycle the snapshot is fresh and owned by nobody else; with it,
 		// the aliasing is what makes the bin buffers shard-recycled.
 		r.Orig = sums[0].orig
+		r.SampledCounts = sums[0].origSamp
 		r.SampledTop = sums[0].sampTop
-		r.Sampled = sums[0].sampled
 	} else {
 		var origDst, topDst []flowtable.Entry
-		sampDst := e.mergedSamp
+		var sampDst []int64
 		if e.cfg.Recycle {
-			origDst, topDst = e.mergedOrig[:0], e.mergedTop[:0]
-			clear(sampDst)
+			origDst, sampDst, topDst = e.mergedOrig[:0], e.mergedSamp[:0], e.mergedTop[:0]
 		}
-		if sampDst == nil {
-			sampDst = make(map[flow.Key]int64, r.SampledFlows)
-		}
-		r.Orig = flowtable.MergeEntriesInto(origDst, origLists...)
+		r.Orig, r.SampledCounts = flowtable.MergeAlignedInto(origDst, sampDst, origLists, sampLists)
 		r.SampledTop = flowtable.MergeTopInto(topDst, e.cfg.TopT, topLists...)
-		for i := range sums {
-			for k, v := range sums[i].sampled {
-				sampDst[k] = v
-			}
-		}
-		r.Sampled = sampDst
 		if e.cfg.Recycle {
-			e.mergedOrig, e.mergedTop, e.mergedSamp = r.Orig, r.SampledTop, r.Sampled
+			e.mergedOrig, e.mergedSamp, e.mergedTop = r.Orig, r.SampledCounts, r.SampledTop
 		}
 	}
-	r.Pairs = metrics.CountSwapped(r.Orig, r.Sampled, e.cfg.TopT)
+	r.Pairs = metrics.CountSwappedCounts(r.Orig, r.SampledCounts, e.cfg.TopT)
 	// The inversion stage runs in flushBin, after this merge, so the two
 	// are timed as distinct pipeline stages.
 	return r

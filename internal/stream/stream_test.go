@@ -49,16 +49,21 @@ func referenceBins(pkts []packet.Packet, agg flow.Aggregator, smp sampler.Sample
 			return
 		}
 		origSorted := orig.Entries()
-		sampled := samp.Counts()
+		aligned := make([]int64, len(origSorted))
+		for i, e := range origSorted {
+			if s, ok := samp.Lookup(e.Key); ok {
+				aligned[i] = s.Packets
+			}
+		}
 		out = append(out, BinResult{
 			Bin:            binIdx,
 			Start:          float64(binIdx) * binSec,
 			End:            float64(binIdx+1) * binSec,
 			Orig:           origSorted,
+			SampledCounts:  aligned,
 			SampledTop:     samp.Top(topT),
-			Sampled:        sampled,
 			SampledFlows:   samp.Len(),
-			Pairs:          metrics.CountSwapped(origSorted, sampled, topT),
+			Pairs:          metrics.CountSwapped(origSorted, samp.Counts(), topT),
 			OrigPackets:    orig.TotalPackets(),
 			OrigBytes:      orig.TotalBytes(),
 			SampledPackets: samp.TotalPackets(),
@@ -170,8 +175,9 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 // TestEngineInversionSummaryInvariance: the optional per-bin inversion
 // summary joins the engine's bit-identical contract — Workers in {1, 4}
 // and any batch size must produce exactly equal summaries for every
-// estimator, even though the sampled counts reach the inverter through a
-// merged map whose iteration order varies run to run.
+// estimator, even though the sampled counts reach the inverter as the
+// shards' count slices concatenated in shard order, which varies with the
+// worker count.
 func TestEngineInversionSummaryInvariance(t *testing.T) {
 	pkts := makePackets(t, 15, 200, 13)
 	base := func(est invert.Estimator) Config {
@@ -460,8 +466,18 @@ func TestEngineBinTotals(t *testing.T) {
 		if b.SampledPackets > b.OrigPackets {
 			t.Fatalf("bin %d: sampled %d > original %d", b.Bin, b.SampledPackets, b.OrigPackets)
 		}
-		if b.SampledFlows != len(b.Sampled) {
-			t.Fatalf("bin %d: SampledFlows %d != len(Sampled) %d", b.Bin, b.SampledFlows, len(b.Sampled))
+		// Exact tables: every sampled flow is an original flow, so the
+		// nonzero aligned counts are exactly the sampled table.
+		sampledFlows, sampledPkts := 0, int64(0)
+		for _, c := range b.SampledCounts {
+			if c > 0 {
+				sampledFlows++
+				sampledPkts += c
+			}
+		}
+		if len(b.SampledCounts) != len(b.Orig) || b.SampledFlows != sampledFlows || b.SampledPackets != sampledPkts {
+			t.Fatalf("bin %d: %d aligned counts for %d flows, %d/%d sampled flows/packets, want %d/%d",
+				b.Bin, len(b.SampledCounts), len(b.Orig), sampledFlows, sampledPkts, b.SampledFlows, b.SampledPackets)
 		}
 	}
 	if gotPkts != total || gotBytes != bytes {

@@ -1,11 +1,15 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
+	"flowrank/internal/invert"
+	"flowrank/internal/packet"
 	"flowrank/internal/sampler"
 )
 
@@ -15,10 +19,7 @@ func copyBin(b BinResult) BinResult {
 	out := b
 	out.Orig = append([]flowtable.Entry(nil), b.Orig...)
 	out.SampledTop = append([]flowtable.Entry(nil), b.SampledTop...)
-	out.Sampled = make(map[flow.Key]int64, len(b.Sampled))
-	for k, v := range b.Sampled {
-		out.Sampled[k] = v
-	}
+	out.SampledCounts = append([]int64(nil), b.SampledCounts...)
 	if b.Inversion != nil {
 		inv := *b.Inversion
 		out.Inversion = &inv
@@ -159,10 +160,13 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 	exactSampled := make([]map[flow.Key]int64, len(exact))
 	exactOrig := make([]map[flow.Key]int64, len(exact))
 	for i, b := range exact {
-		exactSampled[i] = b.Sampled
+		exactSampled[i] = make(map[flow.Key]int64, b.SampledFlows)
 		exactOrig[i] = make(map[flow.Key]int64, len(b.Orig))
-		for _, e := range b.Orig {
+		for j, e := range b.Orig {
 			exactOrig[i][e.Key] = e.Packets
+			if c := b.SampledCounts[j]; c > 0 {
+				exactSampled[i][e.Key] = c
+			}
 		}
 	}
 	for _, kind := range []flowtable.Kind{flowtable.KindSpaceSaving, flowtable.KindCountMin} {
@@ -187,11 +191,16 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 							kind, workers, b.Bin, label, est, tr, tr+b.CountErr)
 					}
 				}
-				for key, est := range b.Sampled {
-					check(key, est, exactSampled[i], "sampled")
-				}
-				for _, e := range b.Orig {
+				// A zero aligned count is a flow the sampled summary does
+				// not track; every tracked one must bracket the truth.
+				for j, e := range b.Orig {
 					check(e.Key, e.Packets, exactOrig[i], "orig")
+					if est := b.SampledCounts[j]; est > 0 {
+						check(e.Key, est, exactSampled[i], "sampled")
+					}
+				}
+				for _, e := range b.SampledTop {
+					check(e.Key, e.Packets, exactSampled[i], "sampled top")
 				}
 			}
 			if pressured == 0 {
@@ -248,6 +257,162 @@ func TestEngineRejectsBadTableSpec(t *testing.T) {
 		}, emit)
 		if err == nil {
 			t.Errorf("spec %+v accepted", spec)
+		}
+	}
+}
+
+// recordingInverter captures, sorted, the sampled counts the engine hands
+// the inversion stage each bin, and fails the inversion.
+type recordingInverter struct{ bins *[][]int64 }
+
+func (r recordingInverter) Name() string { return "recording" }
+
+func (r recordingInverter) Invert(counts []float64, _ float64) (invert.Estimate, error) {
+	c := make([]int64, len(counts))
+	for i, v := range counts {
+		c[i] = int64(v)
+	}
+	slices.Sort(c)
+	*r.bins = append(*r.bins, c)
+	return invert.Estimate{}, errors.New("recorded")
+}
+
+// shardedReference replays the engine's accounting by hand: the same
+// sampling decisions in trace order, the same hash partition into
+// per-shard summary pairs of the spec's kind, one snapshot per non-empty
+// bin. For each bin it returns the sampled counts the shard summaries'
+// Lookup reports, and their count multiset, sorted.
+func shardedReference(t *testing.T, pkts []packet.Packet, cfg Config) ([]map[flow.Key]int64, [][]int64) {
+	t.Helper()
+	type pair struct{ orig, samp flowtable.Summary }
+	shards := make([]pair, cfg.Workers)
+	for i := range shards {
+		var err error
+		if shards[i].orig, err = cfg.Tables.New(cfg.Agg); err != nil {
+			t.Fatal(err)
+		}
+		if shards[i].samp, err = cfg.Tables.New(cfg.Agg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lookups []map[flow.Key]int64
+	var multisets [][]int64
+	bin, n := int64(0), 0
+	flush := func() {
+		if n == 0 {
+			return
+		}
+		lookup := make(map[flow.Key]int64)
+		var counts []int64
+		for _, sh := range shards {
+			for _, e := range sh.orig.AppendEntries(nil) {
+				if se, ok := sh.samp.Lookup(e.Key); ok {
+					lookup[e.Key] = se.Packets
+				}
+			}
+			counts = sh.samp.AppendCounts(counts)
+			sh.orig.Reset()
+			sh.samp.Reset()
+		}
+		slices.Sort(counts)
+		lookups = append(lookups, lookup)
+		multisets = append(multisets, counts)
+		n = 0
+	}
+	for _, p := range pkts {
+		for p.Time >= float64(bin+1)*cfg.BinSeconds {
+			flush()
+			bin++
+		}
+		kept := cfg.Sampler.Sample(p)
+		key := cfg.Agg.Aggregate(p.Key)
+		sh := shards[key.FastHash()%uint64(cfg.Workers)]
+		sh.orig.AddAggregated(key, p.Time, int64(p.Size))
+		if kept {
+			sh.samp.AddAggregated(key, p.Time, int64(p.Size))
+		}
+		n++
+	}
+	flush()
+	return lookups, multisets
+}
+
+// TestEngineAlignedSampledCounts: for every Summary kind, every bin's
+// SampledCounts[i] is the sampled summary's Lookup count of Orig[i] (0
+// when untracked), and the inversion stage receives exactly the sampled
+// summaries' count multiset — including the sampled flows that bounded
+// original summaries no longer track.
+func TestEngineAlignedSampledCounts(t *testing.T) {
+	pkts := makePackets(t, 15, 150, 61)
+	kinds := []flowtable.Kind{flowtable.KindExact, flowtable.KindMap, flowtable.KindSpaceSaving, flowtable.KindCountMin}
+	for _, kind := range kinds {
+		for _, workers := range []int{1, 3} {
+			for _, recycle := range []bool{false, true} {
+				label := fmt.Sprintf("kind=%v workers=%d recycle=%v", kind, workers, recycle)
+				mkCfg := func(inv invert.Estimator) Config {
+					return Config{
+						Agg:        flow.FiveTuple{},
+						Sampler:    sampler.NewBernoulli(0.3, 67),
+						BinSeconds: 5,
+						TopT:       10,
+						Workers:    workers,
+						Tables:     flowtable.Spec{Kind: kind, Slots: 40},
+						Inverter:   inv,
+						Recycle:    recycle,
+					}
+				}
+				lookups, multisets := shardedReference(t, pkts, mkCfg(nil))
+				var inverted [][]int64
+				cfg := mkCfg(recordingInverter{&inverted})
+				var bins, nonEmpty int
+				eng, err := NewEngine(cfg, func(b BinResult) error {
+					if bins >= len(lookups) {
+						t.Fatalf("%s: more bins than the reference's %d", label, len(lookups))
+					}
+					if len(b.SampledCounts) != len(b.Orig) {
+						t.Fatalf("%s bin %d: %d aligned counts for %d flows", label, b.Bin, len(b.SampledCounts), len(b.Orig))
+					}
+					for i, e := range b.Orig {
+						if want := lookups[bins][e.Key]; b.SampledCounts[i] != want {
+							t.Fatalf("%s bin %d: flow %v sampled count %d, Lookup says %d",
+								label, b.Bin, e.Key, b.SampledCounts[i], want)
+						}
+					}
+					want := multisets[bins]
+					if b.SampledFlows != len(want) {
+						t.Fatalf("%s bin %d: SampledFlows %d, sampled summaries track %d",
+							label, b.Bin, b.SampledFlows, len(want))
+					}
+					// The inverter runs before emit, and only on bins with
+					// sampled flows.
+					if len(want) == 0 {
+						if b.Inversion.Err != "no sampled flows" {
+							t.Fatalf("%s bin %d: empty sample inverted: %+v", label, b.Bin, b.Inversion)
+						}
+					} else if len(inverted) == 0 || !slices.Equal(inverted[len(inverted)-1], want) {
+						t.Fatalf("%s bin %d: inversion multiset differs from the sampled summaries' counts", label, b.Bin)
+					} else {
+						nonEmpty++
+					}
+					bins++
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range pkts {
+					if err := eng.Feed(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if bins != len(lookups) || len(inverted) != nonEmpty || nonEmpty < 3 {
+					t.Fatalf("%s: %d bins and %d inversions (%d checked), reference %d bins",
+						label, bins, len(inverted), nonEmpty, len(lookups))
+				}
+			}
 		}
 	}
 }
